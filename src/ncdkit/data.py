@@ -8,6 +8,14 @@ UNLABELLED otherwise.
 Records are feature vectors, so augmentation is a random per-view transform
 x' = mask * (s*x + noise) with a Bernoulli keep-mask, a uniform scale s, and
 Gaussian noise.
+
+Stream contract of a batch: sample_batch first draws the record indices
+(labelled pool, then unlabelled pool, one bounded draw per index), then one
+block of augmentation draws. One view of a d-vector reads
+1 + 2*ceil(d/2) + d consecutive draws: the scale, the Box-Muller u1 and u2
+halves, and the keep mask. Within a record the views come in the order
+v-view0, a-view0, v-view1, a-view1, and records follow in batch order, so a
+batch draws the same numbers as augment() called once per view.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, SamplingError
 from .losses import UNLABELLED
-from .numerics import RngState
+from .numerics import RngState, raw_normal, raw_uniform
 
 LABELLED = "labelled"
 UNLABELLED_SPLIT = "unlabelled"
@@ -151,22 +159,42 @@ def generate_synthetic(classes_labelled: int, classes_unlabelled: int, per_class
                    classes_unlabelled=classes_unlabelled, d_v=d_v, d_a=d_a)
 
 
-def augment(x: np.ndarray, policy: AugmentPolicy, rng: RngState) -> np.ndarray:
-    """One stochastic view: mask * (scale * x + noise).
+def _view_width(d: int) -> int:
+    """Draws one view of a d-vector reads: scale, u1 and u2 halves, keep mask."""
+    return 1 + 2 * ((d + 1) // 2) + d
 
-    Draw order is fixed (scale, noise vector, keep mask) so counters line up
-    across runs regardless of policy values.
-    """
-    x = np.asarray(x, dtype=np.float64)
+
+def _augment_rows(x: np.ndarray, raw: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
+    """mask * (scale * x + noise) per row of x [B, d], row i reading raw[i]."""
+    d = x.shape[1]
+    half = (d + 1) // 2
     lo, hi = policy.scale_range
-    scale = lo + (hi - lo) * rng.uniform()
-    noise = policy.noise_sigma * rng.normal(x.shape)
-    keep = (rng.uniform(x.shape) >= policy.dropout_prob).astype(np.float64)
+    scale = lo + (hi - lo) * raw_uniform(raw[:, :1])
+    noise = policy.noise_sigma * raw_normal(raw[:, 1:1 + half], raw[:, 1 + half:1 + 2 * half], d)
+    keep = (raw_uniform(raw[:, 1 + 2 * half:]) >= policy.dropout_prob).astype(np.float64)
     return keep * (scale * x + noise)
 
 
+def augment(x: np.ndarray, policy: AugmentPolicy, rng: RngState) -> np.ndarray:
+    """One stochastic view: mask * (scale * x + noise).
+
+    Draw order is fixed so counters line up across runs regardless of
+    policy values: one uniform for the scale, ceil(d/2) u1 then ceil(d/2) u2
+    draws for the Box-Muller noise (cosine branch first, cut to d), then d
+    uniforms for the keep mask, 1 + 2*ceil(d/2) + d draws in all.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    raw = rng._raw(_view_width(x.size)).reshape(1, -1)
+    return _augment_rows(x.reshape(1, -1), raw, policy).reshape(x.shape)
+
+
 def sample_batch(ds: Dataset, spec: BatchSpec, policy: AugmentPolicy) -> SampledBatch:
-    """Draw N records (stratified by labelled fraction) and emit 2N views."""
+    """Draw N records (stratified by labelled fraction) and emit 2N views.
+
+    The draws follow the stream contract in the module docstring: the
+    indices, then one block of augmentation draws with one row per output
+    view, [2N, width_v + width_a].
+    """
     if not ds.records:
         raise SamplingError("cannot sample from an empty dataset")
     lab = ds.labelled_indices()
@@ -184,21 +212,20 @@ def sample_batch(ds: Dataset, spec: BatchSpec, policy: AugmentPolicy) -> Sampled
 
     chosen = [lab[i] for i in spec.rng.sample_indices(len(lab), n_lab)] if n_lab else []
     chosen += [unlab[i] for i in spec.rng.sample_indices(len(unlab), n_unlab)] if n_unlab else []
+    recs = [ds.records[idx] for idx in chosen]
 
-    x_v, x_a, labels, rids, splits = [], [], [], [], []
-    for idx in chosen:
-        rec = ds.records[idx]
-        train_label = rec.label if rec.split == LABELLED else UNLABELLED
-        for _ in range(2):
-            x_v.append(augment(rec.x_v, policy, spec.rng))
-            if ds.multimodal:
-                x_a.append(augment(rec.x_a, policy, spec.rng))
-            labels.append(train_label)
-            rids.append(rec.rid)
-            splits.append(rec.split)
-    return SampledBatch(x_v=np.stack(x_v), x_a=np.stack(x_a) if ds.multimodal else None,
-                        labels=np.array(labels, dtype=np.int64),
-                        record_ids=np.array(rids, dtype=np.int64), splits=splits)
+    width_v = _view_width(ds.d_v)
+    width = width_v + (_view_width(ds.d_a) if ds.multimodal else 0)
+    raw = spec.rng._raw(2 * len(recs) * width).reshape(2 * len(recs), width)
+    x_v = _augment_rows(np.repeat(np.stack([r.x_v for r in recs]), 2, axis=0),
+                        raw[:, :width_v], policy)
+    x_a = (_augment_rows(np.repeat(np.stack([r.x_a for r in recs]), 2, axis=0),
+                         raw[:, width_v:], policy) if ds.multimodal else None)
+    labels = [r.label if r.split == LABELLED else UNLABELLED for r in recs]
+    return SampledBatch(x_v=x_v, x_a=x_a,
+                        labels=np.repeat(np.array(labels, dtype=np.int64), 2),
+                        record_ids=np.repeat(np.array([r.rid for r in recs], dtype=np.int64), 2),
+                        splits=[r.split for r in recs for _ in range(2)])
 
 
 # ---- dataset files ------------------------------------------------------------

@@ -26,6 +26,28 @@ def _mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+_U53 = 2.0 ** -53
+
+
+def raw_uniform(raw: np.ndarray) -> np.ndarray:
+    """Uniform float64 in [0, 1) from raw draws: the top 53 bits, scaled."""
+    return (raw >> np.uint64(11)).astype(np.float64) * _U53
+
+
+def raw_normal(raw1: np.ndarray, raw2: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals per row from Box-Muller pairs.
+
+    raw1 and raw2 hold ceil(n/2) draws each along the last axis; the result
+    is the cosine branch of every pair followed by the sine branch, cut to n.
+    """
+    # u1 in (0, 1] so the log is finite; u2 in [0, 1)
+    u1 = ((raw1 >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+    u2 = raw_uniform(raw2)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+
+
 class RngState:
     """Counter-based deterministic random stream.
 
@@ -58,11 +80,10 @@ class RngState:
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform float64 in [0, 1); scalar when shape is None."""
         if shape is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * 2.0 ** -53
+            return float(raw_uniform(self._raw(1))[0])
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return u.reshape(shape)
+        return raw_uniform(self._raw(n)).reshape(shape)
 
     def normal(self, shape=None) -> np.ndarray | float:
         """Standard normal draws via Box-Muller; scalar when shape is None."""
@@ -70,41 +91,56 @@ class RngState:
         shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
         n = int(np.prod(shape)) if shape else 1
         pairs = (n + 1) // 2
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-        u1 = ((self._raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-        u2 = (self._raw(pairs) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        z = raw_normal(self._raw(pairs), self._raw(pairs), n)
         return float(z[0]) if scalar else z.reshape(shape)
 
     def below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) by rejection sampling."""
-        if n < 1:
-            raise ConfigError(f"below() needs n >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = int(self._raw(1)[0])
-            if v < limit:
-                return v % n
+        return self.below_many([n])[0]
+
+    def below_many(self, bounds) -> list[int]:
+        """One below(n) per bound, in order: the same values and the same
+        final counter as sequential calls, drawn in one block per rejection.
+
+        A draw v is accepted for bound n when v < 2^64 - (2^64 mod n). The
+        block is accepted up to its first rejected draw; the stream then
+        resumes just after that draw, which retries the same bound.
+        """
+        lowest = min(bounds, default=1)
+        if lowest < 1:
+            raise ConfigError(f"below() needs n >= 1, got {lowest}")
+        bounds = np.array(bounds, dtype=np.uint64)
+        # largest accepted draw per bound; in uint64, 2^64 mod n is (0 - n) mod n
+        top = np.uint64(_MASK64) - (np.uint64(0) - bounds) % bounds
+        values: list[int] = []
+        while len(values) < bounds.size:
+            done = len(values)
+            start = self.counter
+            raw = self._raw(bounds.size - done)
+            rejected = np.flatnonzero(raw > top[done:])
+            stop = int(rejected[0]) if rejected.size else raw.size
+            values += (raw[:stop] % bounds[done:done + stop]).tolist()
+            if rejected.size:
+                self.counter = (start + stop + 1) & _MASK64
+        return values
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1):
-            j = i + self.below(n - i)
+        perm = list(range(n))
+        for i, k in enumerate(self.below_many(range(n, 1, -1))):
+            j = i + k
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def sample_indices(self, pool_size: int, count: int) -> list[int]:
         """count indices from range(pool_size); distinct when count <= pool_size."""
         if count <= pool_size:
             idx = list(range(pool_size))
-            for i in range(count):
-                j = i + self.below(pool_size - i)
+            for i, k in enumerate(self.below_many(range(pool_size, pool_size - count, -1))):
+                j = i + k
                 idx[i], idx[j] = idx[j], idx[i]
             return idx[:count]
-        return [self.below(pool_size) for _ in range(count)]
+        return self.below_many([pool_size] * count)
 
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
@@ -261,8 +297,10 @@ class Tensor:
     # ---- elementwise nonlinearities ---------------------------------------------
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: _accum(self, g * out.data)
+        e = np.exp(self.data)
+        out = Tensor(e, (self,))
+        # the closure holds the array, not `out`, so no reference cycle forms
+        out._backward = lambda g: _accum(self, g * e)
         return out
 
     def log(self):

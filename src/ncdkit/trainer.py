@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -190,17 +189,6 @@ class TuneReport:
     chosen: tuple[int, int]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NCD_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NCD_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"NCD_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _materialize_strategy(cfg: RunConfig, rng: RngState) -> PairStrategy:
     if cfg.strategy_kind == "wta":
         hasher = build_hasher(cfg.fused_dim, cfg.resolved_code_length(),
@@ -232,7 +220,9 @@ def _validate_dataset(cfg: RunConfig, ds: Dataset):
 
 def _step_losses(model: ModelState, batch, cfg: RunConfig, strategy: PairStrategy):
     """Per-batch loss components; disabled or empty terms are literal 0.0."""
-    out = forward(model, batch.x_v, batch.x_a)
+    ce_only = not (cfg.use_bce or cfg.use_mse or cfg.use_nce_i or cfg.use_nce_c)
+    # CE reads only the labelled head; the projections and probs_u go unbuilt
+    out = forward(model, batch.x_v, batch.x_a, mode="labelled" if ce_only else "both")
     labels = batch.labels
     lab_idx = np.flatnonzero(labels != UNLABELLED)
     unlab_idx = np.flatnonzero(labels == UNLABELLED)
@@ -296,7 +286,6 @@ def train(cfg: RunConfig, ds: Dataset) -> tuple[ModelState, list[EpochMetrics]]:
     """Run the full loop, returning the final model and per-epoch metrics."""
     cfg.validate()
     _validate_dataset(cfg, ds)
-    _thread_cap()  # reference implementation runs at parallelism 1
 
     root = RngState(cfg.seed)
     model = init_model(cfg, root.derive(_TAG_MODEL))

@@ -183,6 +183,81 @@ def test_sample_batch_multimodal_shapes():
     assert batch.x_a.shape == (6, 3)
 
 
+# ---- batched draws against the per-view reference ------------------------------------
+
+def reference_augment(x, policy, rng):
+    """augment() as one RngState call per draw kind: scale, noise, keep mask."""
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = policy.scale_range
+    scale = lo + (hi - lo) * rng.uniform()
+    noise = policy.noise_sigma * rng.normal(x.shape)
+    keep = (rng.uniform(x.shape) >= policy.dropout_prob).astype(np.float64)
+    return keep * (scale * x + noise)
+
+
+def reference_sample_batch(ds, spec, policy):
+    """sample_batch() as a loop over records and views, one augment per view."""
+    lab = ds.labelled_indices()
+    unlab = ds.unlabelled_indices()
+    frac = spec.labelled_fraction
+    if frac is None:
+        frac = len(lab) / len(ds.records)
+    n_lab = min(max(int(round(spec.batch_size * frac)), 0), spec.batch_size)
+    n_unlab = spec.batch_size - n_lab
+    chosen = [lab[i] for i in spec.rng.sample_indices(len(lab), n_lab)] if n_lab else []
+    chosen += [unlab[i] for i in spec.rng.sample_indices(len(unlab), n_unlab)] if n_unlab else []
+    x_v, x_a, labels, rids, splits = [], [], [], [], []
+    for idx in chosen:
+        rec = ds.records[idx]
+        for _ in range(2):
+            x_v.append(reference_augment(rec.x_v, policy, spec.rng))
+            if ds.multimodal:
+                x_a.append(reference_augment(rec.x_a, policy, spec.rng))
+            labels.append(rec.label if rec.split == LABELLED else UNLABELLED)
+            rids.append(rec.rid)
+            splits.append(rec.split)
+    return (np.stack(x_v), np.stack(x_a) if ds.multimodal else None,
+            np.array(labels, dtype=np.int64), np.array(rids, dtype=np.int64), splits)
+
+
+BUSY_POLICY = AugmentPolicy(noise_sigma=1.0, dropout_prob=0.2, scale_range=(0.7, 1.3))
+
+
+@pytest.mark.parametrize("policy", [quiet_policy(), BUSY_POLICY], ids=["identity", "busy"])
+@pytest.mark.parametrize("fraction", [None, 0.0, 1.0])
+@pytest.mark.parametrize("dims", [(4, None), (5, None), (5, 3), (6, 7)],
+                         ids=["even", "odd", "odd-multi", "mixed-multi"])
+def test_sample_batch_matches_per_view_reference(dims, fraction, policy):
+    d_v, d_a = dims
+    ds = small_ds(seed=21, d_v=d_v, d_a=d_a)
+    rng = RngState(22)
+    ref_rng = rng.clone()
+    # 15 and 25 exceed the one 10-record pool drawn at fractions 0.0 and 1.0;
+    # 25 exceeds both pools at fraction None (12 labelled, 13 unlabelled)
+    for batch_size in (3, 15, 1, 25, 10):
+        batch = sample_batch(ds, BatchSpec(batch_size, fraction, rng), policy)
+        x_v, x_a, labels, rids, splits = reference_sample_batch(
+            ds, BatchSpec(batch_size, fraction, ref_rng), policy)
+        assert np.array_equal(batch.x_v, x_v)
+        assert (batch.x_a is None) == (x_a is None)
+        if x_a is not None:
+            assert np.array_equal(batch.x_a, x_a)
+        assert np.array_equal(batch.labels, labels)
+        assert np.array_equal(batch.record_ids, rids)
+        assert batch.splits == splits
+        assert rng.counter == ref_rng.counter
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 16])
+def test_augment_matches_reference(d):
+    x = RngState(23).normal(d)
+    rng = RngState(24)
+    ref_rng = rng.clone()
+    for _ in range(3):
+        assert np.array_equal(augment(x, BUSY_POLICY, rng), reference_augment(x, BUSY_POLICY, ref_rng))
+        assert rng.counter == ref_rng.counter
+
+
 # ---- csv round trip ----------------------------------------------------------------
 
 def test_round_trip_single_modal(tmp_path):

@@ -48,6 +48,60 @@ def test_rng_below_range():
     assert len(set(draws)) == 7
 
 
+def reference_below(rng, n):
+    """below() as a loop of single draws: reject v >= 2^64 - (2^64 mod n)."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        v = int(rng._raw(1)[0])
+        if v < limit:
+            return v % n
+
+
+def test_rng_permutation_and_sample_indices_match_loop_of_below():
+    for n in (0, 1, 2, 9, 64):
+        rng = RngState(31, counter=n)
+        ref = rng.clone()
+        expected = list(range(n))
+        for i in range(n - 1):
+            j = i + reference_below(ref, n - i)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert rng.permutation(n).tolist() == expected
+        assert rng.counter == ref.counter
+    for pool, count in ((10, 0), (10, 4), (10, 10), (10, 25), (1, 3)):
+        rng = RngState(32)
+        ref = rng.clone()
+        if count <= pool:
+            expected = list(range(pool))
+            for i in range(count):
+                j = i + reference_below(ref, pool - i)
+                expected[i], expected[j] = expected[j], expected[i]
+            expected = expected[:count]
+        else:
+            expected = [reference_below(ref, pool) for _ in range(count)]
+        assert rng.sample_indices(pool, count) == expected
+        assert rng.counter == ref.counter
+
+
+def test_rng_below_many_rejection_path_matches_sequential_below():
+    # a draw is rejected for n = 2^63 + 1 + k when it is >= n, about half of them
+    bounds = [(1 << 63) + 1 + k for k in range(40)] + [7, 1, (1 << 64) - 1, 3] * 5
+    rng = RngState(33)
+    seq = rng.clone()
+    ref = rng.clone()
+    values = rng.below_many(bounds)
+    assert values == [seq.below(n) for n in bounds]
+    assert values == [reference_below(ref, n) for n in bounds]
+    assert rng.counter == seq.counter == ref.counter
+    assert rng.counter > len(bounds) + 10  # the rejection path really ran
+
+
+def test_rng_below_rejects_empty_range():
+    with pytest.raises(ConfigError):
+        RngState(0).below(0)
+    with pytest.raises(ConfigError):
+        RngState(0).sample_indices(0, 3)
+
+
 # ---- tensor basics ----------------------------------------------------------------
 
 def test_tensor_rejects_non_finite():

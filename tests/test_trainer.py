@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -129,13 +130,16 @@ def test_exploding_run_aborts_with_diagnostic():
         train(cfg, ds)
 
 
-def test_ncd_threads_env_validated(monkeypatch):
-    ds = tiny_ds()
-    monkeypatch.setenv("NCD_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        train(tiny_cfg(epochs=1), ds)
-    monkeypatch.setenv("NCD_THREADS", "2")
-    train(tiny_cfg(epochs=1), ds)  # accepted cap, still sequential
+def test_training_graphs_free_without_cyclic_gc():
+    ds = tiny_ds(multimodal=True)
+    cfg = tiny_cfg(multimodal=True, d_a=4, selector_g1="audio", epochs=2)
+    gc.collect()
+    gc.disable()
+    try:
+        train(cfg, ds)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_round_trip_reproduces_acc_bitwise(tmp_path):
